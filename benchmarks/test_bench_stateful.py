@@ -8,11 +8,18 @@ fully deterministic, so the iteration counts are exact, not noisy timings.
 
 Known-good reference (one-node failover scenario, max_steps=7): DFS exhausts
 the space in 10669 schedules, stateful DFS in 3428 — a 3.11x reduction.
-Composed with dpor-lite sleep sets the counts drop 4648 -> 3147.
+Composed with dpor-lite sleep sets the counts drop 1862 -> 1726.
+
+Fewer schedules only count as faster if wall-clock agrees, so the gate also
+times both searches: stateful DFS must exhaust the space in at most 1.5x
+the wall-clock of plain DFS (the ROADMAP target is 1.0x; the measured ratio
+is recorded next to it).  Like the other timing gates this assert is
+report-only under ``REPRO_BENCH_ASSERT_SPEEDUP=0``; the schedule-count and
+digest asserts always run.
 
 The determinism gate additionally pins the *content* of the fingerprint set:
-the sha256 digest over the sorted fingerprints must be identical across
-repeated runs and across a fresh interpreter with a different
+the sha256 digest over the sorted fingerprints must equal the golden value,
+across repeated runs and across a fresh interpreter with a different
 ``PYTHONHASHSEED`` — fingerprints are pure functions of program state, never
 of Python's per-process string hashing.
 """
@@ -38,6 +45,19 @@ from repro.vnext.harness.scenarios import build_failover_test
 #: deep enough that revisits happen, shallow enough for a CI-sized exhaust
 MAX_STEPS = 7
 
+#: sha256 over the sorted fingerprints of the stateful DFS exhaust at
+#: MAX_STEPS (2046 distinct states); any change to the canonical encoding
+#: or to what a fingerprint covers moves it
+GOLDEN_DIGEST = "352fa3165e9092ad3f54ecf42621da60cece4524e8d226b5d4e45da76461df29"
+GOLDEN_STATES = 2046
+
+#: stateful DFS may take at most this multiple of plain DFS's wall-clock
+MAX_WALL_CLOCK_RATIO = 1.5
+#: the ROADMAP's target for the same ratio (recorded, not asserted)
+TARGET_WALL_CLOCK_RATIO = 1.0
+
+ASSERT_SPEEDUP = os.environ.get("REPRO_BENCH_ASSERT_SPEEDUP", "1") != "0"
+
 
 def _exhaust(strategy: str, stateful: bool = False, independence=None):
     config = TestingConfig(
@@ -61,16 +81,24 @@ def _fingerprint_digest(report) -> str:
     return hashlib.sha256(encoded.encode()).hexdigest()
 
 
+def _schedules_per_second(report) -> float:
+    return round(report.iterations_executed / max(report.elapsed_seconds, 1e-9), 1)
+
+
 def test_bench_stateful_prunes_dfs_schedule_space(benchmark):
     dfs = _exhaust("dfs")
     pruned = benchmark.pedantic(
         lambda: _exhaust("dfs", stateful=True), rounds=1, iterations=1
     )
     ratio = dfs.iterations_executed / pruned.iterations_executed
+    wall_clock_ratio = pruned.elapsed_seconds / dfs.elapsed_seconds
     print()
     print(
-        f"[stateful gate] dfs={dfs.iterations_executed} schedules, "
-        f"stateful={pruned.iterations_executed} schedules ({ratio:.2f}x fewer)"
+        f"[stateful gate] dfs={dfs.iterations_executed} schedules in "
+        f"{dfs.elapsed_seconds:.2f}s, stateful={pruned.iterations_executed} "
+        f"schedules in {pruned.elapsed_seconds:.2f}s ({ratio:.2f}x fewer, "
+        f"{wall_clock_ratio:.2f}x the wall-clock; target "
+        f"<= {TARGET_WALL_CLOCK_RATIO}x, gate <= {MAX_WALL_CLOCK_RATIO}x)"
     )
     record_bench_result(
         "stateful",
@@ -79,12 +107,24 @@ def test_bench_stateful_prunes_dfs_schedule_space(benchmark):
         prune_ratio=round(ratio, 3),
         dfs_seconds=round(dfs.elapsed_seconds, 3),
         stateful_seconds=round(pruned.elapsed_seconds, 3),
+        stateful_over_dfs_seconds=round(wall_clock_ratio, 3),
+        stateful_over_dfs_gate=MAX_WALL_CLOCK_RATIO,
+        stateful_over_dfs_target=TARGET_WALL_CLOCK_RATIO,
+        stateful_meets_target=wall_clock_ratio <= TARGET_WALL_CLOCK_RATIO,
+        dfs_schedules_per_s=_schedules_per_second(dfs),
+        stateful_schedules_per_s=_schedules_per_second(pruned),
         distinct_states=len(pruned.coverage.fingerprints),
     )
     # identical bug coverage over the identical bounded space
     assert dfs.bug_found and pruned.bug_found
     assert {bug.kind for bug in dfs.bugs} == {bug.kind for bug in pruned.bugs}
     assert ratio >= 2.0, f"expected >= 2x pruning, got {ratio:.2f}x"
+    assert len(pruned.coverage.fingerprints) == GOLDEN_STATES
+    if ASSERT_SPEEDUP:
+        assert wall_clock_ratio <= MAX_WALL_CLOCK_RATIO, (
+            f"stateful DFS took {wall_clock_ratio:.2f}x the wall-clock of plain "
+            f"DFS (gate <= {MAX_WALL_CLOCK_RATIO}x)"
+        )
 
 
 def test_bench_stateful_composes_with_dpor_lite():
@@ -93,6 +133,15 @@ def test_bench_stateful_composes_with_dpor_lite():
     )
     sleep_only = _exhaust("dpor-lite", independence=table)
     composed = _exhaust("dpor-lite", stateful=True, independence=table)
+    record_bench_result(
+        "stateful",
+        dpor_lite_schedules=sleep_only.iterations_executed,
+        dpor_lite_stateful_schedules=composed.iterations_executed,
+        dpor_lite_seconds=round(sleep_only.elapsed_seconds, 3),
+        dpor_lite_stateful_seconds=round(composed.elapsed_seconds, 3),
+        dpor_lite_schedules_per_s=_schedules_per_second(sleep_only),
+        dpor_lite_stateful_schedules_per_s=_schedules_per_second(composed),
+    )
     assert composed.iterations_executed < sleep_only.iterations_executed
     assert {bug.kind for bug in composed.bugs} == {bug.kind for bug in sleep_only.bugs}
 
@@ -101,7 +150,7 @@ def test_bench_fingerprints_deterministic_across_processes():
     """Same search -> byte-identical fingerprint set, even cross-process."""
     local = _fingerprint_digest(_exhaust("dfs", stateful=True))
     again = _fingerprint_digest(_exhaust("dfs", stateful=True))
-    assert local == again
+    assert local == again == GOLDEN_DIGEST
 
     # A fresh interpreter with a different string-hash seed must agree:
     # fingerprints come from blake2b over canonical encodings, not hash().
